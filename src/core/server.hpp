@@ -233,7 +233,7 @@ class Server : public Engine {
                                    uint32_t extra_out_seq_bump = 0);
 
   // Hot-restart handoff capture: the current engine state as a
-  // qserv-ckpt-v1 blob, off the periodic schedule. Requires
+  // qserv-ckpt-v2 blob, off the periodic schedule. Requires
   // cfg.recovery.enabled and quiesced workers (call after request_stop()
   // has drained active_workers() to zero).
   std::vector<uint8_t> encode_checkpoint_now();

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/util/vec.hpp"
@@ -14,6 +15,12 @@ namespace qserv::net {
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  // Writes into `buf`, cleared: its capacity is reused.
+  explicit ByteWriter(std::vector<uint8_t> buf) : buf_(std::move(buf)) {
+    buf_.clear();
+  }
+
   void u8(uint8_t v);
   void u16(uint16_t v);
   void u32(uint32_t v);

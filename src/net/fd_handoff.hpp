@@ -32,7 +32,7 @@ namespace qserv::net {
 
 struct HandoffPackage {
   std::vector<std::pair<uint16_t, int>> sockets;  // (port, fd)
-  std::vector<uint8_t> checkpoint;                // qserv-ckpt-v1 blob
+  std::vector<uint8_t> checkpoint;                // qserv-ckpt-v2 blob
 };
 
 // Old generation's side: owns the unix-socket path.

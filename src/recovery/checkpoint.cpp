@@ -89,6 +89,11 @@ bool count_fits(const net::ByteReader& r, uint64_t count, size_t min_bytes) {
   return count <= r.remaining() / min_bytes;
 }
 
+// The trailing content checksum over the `n` bytes before it.
+uint64_t content_checksum(const uint8_t* data, size_t n) {
+  return hash_finish(hash_bytes(kHashSeed, data, n));
+}
+
 }  // namespace
 
 const char* load_error_name(LoadError e) {
@@ -104,8 +109,8 @@ const char* load_error_name(LoadError e) {
   return "?";
 }
 
-std::vector<uint8_t> encode_checkpoint(const CheckpointData& c) {
-  net::ByteWriter w;
+void encode_checkpoint(const CheckpointData& c, std::vector<uint8_t>& out) {
+  net::ByteWriter w(std::move(out));
   w.u32(kCheckpointMagic);
   w.u32(kCheckpointVersion);
   w.u64(c.frame);
@@ -151,8 +156,8 @@ std::vector<uint8_t> encode_checkpoint(const CheckpointData& c) {
   for (const uint16_t p : c.evicted_ports) w.u16(p);
   // Whole-file content checksum over every byte written above. Last so
   // the single-pass writer needs no reserved slot.
-  w.u64(fnv1a64(w.data().data(), w.size()));
-  return w.take();
+  w.u64(content_checksum(w.data().data(), w.size()));
+  out = w.take();
 }
 
 LoadError decode_checkpoint(const uint8_t* data, size_t n,
@@ -164,13 +169,13 @@ LoadError decode_checkpoint(const uint8_t* data, size_t n,
   if (magic != kCheckpointMagic) return LoadError::kBadMagic;
   if (version != kCheckpointVersion) return LoadError::kBadVersion;
   // Content checksum before any section is interpreted: the trailing u64
-  // must be the FNV-1a of everything before it. Magic/version are checked
+  // must be the checksum of everything before it. Magic/version are checked
   // first so a wrong-format file still reports as such.
   if (n < 16) return LoadError::kTruncated;
   uint64_t stored = 0;
   for (size_t i = 0; i < 8; ++i)
     stored |= static_cast<uint64_t>(data[n - 8 + i]) << (8 * i);
-  if (fnv1a64(data, n - 8) != stored) return LoadError::kChecksum;
+  if (content_checksum(data, n - 8) != stored) return LoadError::kChecksum;
 
   out = CheckpointData{};
   out.frame = r.u64();
@@ -290,7 +295,7 @@ size_t CheckpointManager::store(const CheckpointData& c) {
   // below is the single publication point (see the class comment's
   // swap-order audit).
   const int next = current_.load(std::memory_order_relaxed) == 0 ? 1 : 0;
-  buf_[next] = encode_checkpoint(c);
+  encode_checkpoint(c, buf_[next]);
   frame_[next] = c.frame;
   current_.store(next, std::memory_order_release);
   const auto t1 = std::chrono::steady_clock::now();

@@ -1,7 +1,7 @@
 // Frame-aligned checkpoints: the full recoverable server state —
 // world entities, areanode list order, free-id stack, RNG state, client
 // registry with netchan sequences, and the serialized map — in a
-// versioned binary format (`qserv-ckpt-v1`). Checkpoints are taken in the
+// versioned binary format (`qserv-ckpt-v2`). Checkpoints are taken in the
 // master's between-frames window, where no region locks are held and no
 // worker touches shared state, so serialization needs no synchronization;
 // the CheckpointManager double-buffers the encoded bytes so the latest
@@ -12,10 +12,11 @@
 // bounded against the remaining bytes before any resize, magic/version
 // mismatches return typed errors, and a truncated or length-lying file
 // can never crash the loader. Beyond the field-level bounds checks the
-// image carries a whole-file content checksum (trailing FNV-1a 64 over
-// every preceding byte): a torn write or flipped bit that would still
-// parse "in bounds" (a position, an RNG word) is rejected as kChecksum
-// before any section is interpreted.
+// image carries a whole-file content checksum (a trailing u64: the
+// digest's word-at-a-time hash over every preceding byte, so any change
+// confined to one 8-byte word is always caught): a torn write or flipped
+// bit that would still parse "in bounds" (a position, an RNG word) is
+// rejected as kChecksum before any section is interpreted.
 #pragma once
 
 #include <array>
@@ -31,7 +32,7 @@
 namespace qserv::recovery {
 
 inline constexpr uint32_t kCheckpointMagic = 0x74706b63;  // "ckpt"
-inline constexpr uint32_t kCheckpointVersion = 1;         // qserv-ckpt-v1
+inline constexpr uint32_t kCheckpointVersion = 2;         // qserv-ckpt-v2
 
 enum class LoadError : uint8_t {
   kNone = 0,
@@ -87,7 +88,13 @@ struct CheckpointData {
   std::vector<uint16_t> evicted_ports;  // remembered kEvicted answers
 };
 
-std::vector<uint8_t> encode_checkpoint(const CheckpointData& c);
+// Encodes into `out`, reusing its capacity.
+void encode_checkpoint(const CheckpointData& c, std::vector<uint8_t>& out);
+inline std::vector<uint8_t> encode_checkpoint(const CheckpointData& c) {
+  std::vector<uint8_t> out;
+  encode_checkpoint(c, out);
+  return out;
+}
 LoadError decode_checkpoint(const uint8_t* data, size_t n,
                             CheckpointData& out);
 inline LoadError decode_checkpoint(const std::vector<uint8_t>& buf,
@@ -106,15 +113,16 @@ void restore_world(const CheckpointData& c, sim::World& w);
 // image. Tracks the serialize-pause budget the acceptance criteria bound.
 //
 // Swap-order audit (why a stall or crash mid-store can never tear the
-// published image): store(N) writes buf_[next] while current_ still names
-// the buffer store(N-1) published — the one every reader (latest(), the
-// signal handler's republished pointer, a shard supervisor peeking at a
-// quarantined engine) holds. Only after encode_checkpoint() fully
-// returned does the atomic release-store of current_ flip readers over;
-// a thread-stall fault injected anywhere inside store(), or a crash that
-// fires the signal dumper mid-encode, leaves current_ pointing at the
-// previous complete image. buf_[current] itself is not rewritten until
-// two stores later, by which point current_ (and the signal dump
+// published image): store(N) encodes in place into buf_[next] — reusing
+// the capacity of the image store(N-2) published there — while current_
+// still names the buffer store(N-1) published, the one every reader
+// (latest(), the signal handler's republished pointer, a shard supervisor
+// peeking at a quarantined engine) holds. Only after encode_checkpoint()
+// fully returned does the atomic release-store of current_ flip readers
+// over; a thread-stall fault injected anywhere inside store(), or a crash
+// that fires the signal dumper mid-encode, leaves current_ pointing at
+// the previous complete image. buf_[current] itself is not rewritten
+// until two stores later, by which point current_ (and the signal dump
 // pointer, republished every checkpoint) has moved off it.
 class CheckpointManager {
  public:

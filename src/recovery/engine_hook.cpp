@@ -15,11 +15,11 @@ namespace qserv::recovery {
 ServerRecovery::ServerRecovery(core::Engine& engine,
                                const spatial::GameMap& map)
     : engine_(engine),
-      map_text_(map.serialize()),
       recorder_(engine.config().recovery,
                 static_cast<uint32_t>(engine.config().threads),
                 engine.config().seed),
       blackbox_(engine.config().recovery.dump_dir) {
+  ckpt_.map_text = map.serialize();
   const Config& rc = engine_.config().recovery;
   if (rc.install_signal_handler) {
     install_signal_dumper(
@@ -73,7 +73,7 @@ void ServerRecovery::on_drop(int tid, uint16_t port, DropReason why) {
 
 void ServerRecovery::on_frame_sealed() {
   const Config& rc = engine_.config().recovery;
-  std::vector<EntityDigest> per_entity;
+  std::vector<EntityDigest> per_entity = recorder_.take_digest_buffer();
   const uint64_t digest = world_digest(
       engine_.world(), rc.per_entity_digests ? &per_entity : nullptr);
   recorder_.seal_frame(engine_.frames(), engine_.last_world_t0(),
@@ -81,7 +81,7 @@ void ServerRecovery::on_frame_sealed() {
                        std::move(per_entity));
   if (rc.checkpoint_interval > 0 &&
       engine_.frames() % rc.checkpoint_interval == 0) {
-    checkpoints_.store(make_checkpoint(digest));
+    checkpoints_.store(capture(digest));
     if (rc.install_signal_handler)
       publish_signal_dump(checkpoints_.latest().data(),
                           checkpoints_.latest().size());
@@ -90,7 +90,7 @@ void ServerRecovery::on_frame_sealed() {
 
 std::vector<uint8_t> ServerRecovery::capture_now_encoded() {
   const uint64_t digest = world_digest(engine_.world(), nullptr);
-  return encode_checkpoint(make_checkpoint(digest));
+  return encode_checkpoint(capture(digest));
 }
 
 void ServerRecovery::on_client_spawned(int owner, uint16_t port,
@@ -158,9 +158,9 @@ void ServerRecovery::record_handoff_in(uint16_t port, uint32_t entity,
   recorder_.record(0, rec);
 }
 
-CheckpointData ServerRecovery::make_checkpoint(uint64_t digest) {
+const CheckpointData& ServerRecovery::capture(uint64_t digest) {
   const core::ServerConfig& cfg = engine_.config();
-  CheckpointData c;
+  CheckpointData& c = ckpt_;
   c.frame = engine_.frames();
   c.captured_at_ns = engine_.platform().now().ns;
   c.seed = cfg.seed;
@@ -172,15 +172,23 @@ CheckpointData ServerRecovery::make_checkpoint(uint64_t digest) {
   c.digest = digest;
   const sim::World& w = engine_.world();
   c.rng_state = w.rng().state();
-  c.map_text = map_text_;
   c.entity_storage = static_cast<uint32_t>(w.entity_storage_size());
+  c.entities.clear();
   w.for_each_entity([&](const sim::Entity& e) { c.entities.push_back(e); });
   c.free_ids = w.free_ids();
+  // Refill the node lists in place so their id vectors keep capacity.
   const auto& tree = w.tree();
+  size_t nodes = 0;
   for (int i = 0; i < tree.node_count(); ++i) {
-    if (!tree.node(i).objects.empty())
-      c.node_objects.emplace_back(i, tree.node(i).objects);
+    if (tree.node(i).objects.empty()) continue;
+    if (nodes == c.node_objects.size()) c.node_objects.emplace_back();
+    c.node_objects[nodes].first = i;
+    c.node_objects[nodes].second = tree.node(i).objects;
+    ++nodes;
   }
+  c.node_objects.resize(nodes);
+  c.clients.clear();
+  c.evicted_ports.clear();
   core::ClientRegistry& reg = engine_.registry();
   vt::LockGuard g(reg.mutex());
   const auto& slots = reg.slots();

@@ -39,7 +39,7 @@ class ServerRecovery final : public core::FrameHook,
   std::string dump(const std::string& label, const std::string& why);
 
   // Hot-restart handoff capture: encodes the engine's current state as a
-  // qserv-ckpt-v1 blob, off the periodic schedule. Call only with every
+  // qserv-ckpt-v2 blob, off the periodic schedule. Call only with every
   // worker quiesced (after request_stop() drains) — the capture walks
   // live world and registry state unlocked.
   std::vector<uint8_t> capture_now_encoded();
@@ -70,10 +70,12 @@ class ServerRecovery final : public core::FrameHook,
   void on_client_evicted(int owner, uint16_t port, uint32_t entity) override;
 
  private:
-  CheckpointData make_checkpoint(uint64_t digest);
+  // Refills ckpt_ with the engine's current state, reusing its storage;
+  // the map text in it is set once, at construction.
+  const CheckpointData& capture(uint64_t digest);
 
   core::Engine& engine_;
-  std::string map_text_;  // GameMap::serialize(), embedded in checkpoints
+  CheckpointData ckpt_;  // scratch image, encoded by store()
   FlightRecorder recorder_;
   CheckpointManager checkpoints_;
   BlackBox blackbox_;

@@ -175,26 +175,43 @@ void FlightRecorder::record(uint32_t thread, JournalRecord rec) {
 void FlightRecorder::seal_frame(uint64_t frame, vt::TimePoint t0,
                                 vt::Duration dt, uint64_t digest,
                                 std::vector<EntityDigest> entity_digests) {
-  FrameJournal fj;
+  FrameJournal fj = std::move(spare_);
   fj.frame = frame;
   fj.world_t0_ns = t0.ns;
   fj.world_dt_ns = dt.ns;
   fj.digest = digest;
   fj.entity_digests = std::move(entity_digests);
+  fj.records.clear();
+  // Executed records in serialization order (every index is drawn once,
+  // so the sort is deterministic); forensic drops (order == kNoOrder)
+  // follow in arrival order.
   for (auto& stage : staging_) {
-    for (auto& rec : stage) fj.records.push_back(std::move(rec));
+    for (auto& rec : stage) {
+      if (rec.order != kNoOrder) fj.records.push_back(std::move(rec));
+    }
+  }
+  std::sort(fj.records.begin(), fj.records.end(),
+            [](const JournalRecord& a, const JournalRecord& b) {
+              return a.order < b.order;
+            });
+  for (auto& stage : staging_) {
+    for (auto& rec : stage) {
+      if (rec.order == kNoOrder) fj.records.push_back(std::move(rec));
+    }
     stage.clear();
   }
-  // Executed records in serialization order; forensic drops (order ==
-  // kNoOrder) sink to the tail keeping arrival order.
-  std::stable_sort(fj.records.begin(), fj.records.end(),
-                   [](const JournalRecord& a, const JournalRecord& b) {
-                     return a.order < b.order;
-                   });
   ring_.push_back(std::move(fj));
-  while (ring_.size() > cfg_.journal_frames && !ring_.empty())
+  while (ring_.size() > cfg_.journal_frames && !ring_.empty()) {
+    spare_ = std::move(ring_.front());
     ring_.pop_front();
+  }
   ++frames_sealed_;
+}
+
+std::vector<EntityDigest> FlightRecorder::take_digest_buffer() {
+  std::vector<EntityDigest> buf = std::move(spare_.entity_digests);
+  buf.clear();
+  return buf;
 }
 
 std::vector<uint8_t> FlightRecorder::encode() const {

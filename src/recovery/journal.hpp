@@ -31,7 +31,7 @@
 namespace qserv::recovery {
 
 inline constexpr uint32_t kJournalMagic = 0x6c6e726a;  // "jrnl"
-inline constexpr uint32_t kJournalVersion = 2;         // qserv-jrnl-v2
+inline constexpr uint32_t kJournalVersion = 3;         // qserv-jrnl-v3
 
 // Records with no serialization index (forensic-only) carry this; they
 // sort after every executed record within the frame.
@@ -134,8 +134,13 @@ class FlightRecorder {
   // Master window only: drains every staging vector, sorts executed
   // records by serialization index (drops keep arrival order at the
   // tail), attaches the digest, pushes onto the ring, trims to bounds.
+  // Once the ring is full, the new frame reuses the storage of the frame
+  // it evicts.
   void seal_frame(uint64_t frame, vt::TimePoint t0, vt::Duration dt,
                   uint64_t digest, std::vector<EntityDigest> entity_digests);
+  // Master window only: an empty vector for the next seal_frame's
+  // per-entity digests, with the capacity of the last evicted frame's.
+  std::vector<EntityDigest> take_digest_buffer();
 
   const std::deque<FrameJournal>& frames() const { return ring_; }
   uint64_t seed() const { return seed_; }
@@ -144,7 +149,7 @@ class FlightRecorder {
     return records_staged_.load(std::memory_order_relaxed);
   }
 
-  // Serializes header (seed, bounds) + the ring tail to qserv-jrnl-v1.
+  // Serializes header (seed, bounds) + the ring tail to qserv-jrnl-v3.
   std::vector<uint8_t> encode() const;
 
  private:
@@ -152,6 +157,7 @@ class FlightRecorder {
   uint64_t seed_;
   std::vector<std::vector<JournalRecord>> staging_;  // one per thread
   std::deque<FrameJournal> ring_;
+  FrameJournal spare_;  // storage of the last evicted frame, for reuse
   uint64_t frames_sealed_ = 0;
   // Workers stage concurrently; the count is a statistic, not an ordering
   // device, so relaxed increments suffice.

@@ -1,7 +1,7 @@
 // Deterministic replay: restore a checkpoint into a fresh World and
 // re-execute the journal's state-change records — world-phase ticks, move
 // commands, lifecycle operations — in serialization-index order, checking
-// the FNV world digest after every frame against the digest recorded
+// the world digest after every frame against the digest recorded
 // live. The first mismatching frame (and, with per-entity digests, the
 // first mismatching entity) is reported.
 //

@@ -91,6 +91,122 @@ TEST(Digest, SensitiveToRngStateAndFreeList) {
   EXPECT_NE(recovery::world_digest(b), base);
 }
 
+// Every field the entity hash covers, mutated one at a time, must move
+// both the world digest and the entity's own per-entity digest — with
+// names on both sides of the 8-byte word boundary, so the length word and
+// the zero-padded tail word are covered. The per-entity list must not
+// change the world digest.
+TEST(Digest, EveryHashedFieldMovesTheWorldAndEntityDigests) {
+  const auto map = spatial::make_arena(1024);
+  sim::World w(map, {});
+  w.spawn_player("other");
+  sim::Entity& p = w.spawn_player("p");
+
+  using Mutation = std::pair<std::string, std::function<void(sim::Entity&)>>;
+  std::vector<Mutation> mutations = {
+      {"id", [](sim::Entity& e) { e.id += 64; }},
+      {"type", [](sim::Entity& e) { e.type = sim::EntityType::kItem; }},
+      {"origin.x", [](sim::Entity& e) { e.origin.x += 0.5f; }},
+      {"origin.y", [](sim::Entity& e) { e.origin.y += 0.5f; }},
+      {"origin.z", [](sim::Entity& e) { e.origin.z += 0.5f; }},
+      {"velocity.x", [](sim::Entity& e) { e.velocity.x += 1.0f; }},
+      {"velocity.y", [](sim::Entity& e) { e.velocity.y += 1.0f; }},
+      {"velocity.z", [](sim::Entity& e) { e.velocity.z += 1.0f; }},
+      {"yaw_deg", [](sim::Entity& e) { e.yaw_deg += 1.0f; }},
+      {"mins.x", [](sim::Entity& e) { e.mins.x -= 1.0f; }},
+      {"mins.y", [](sim::Entity& e) { e.mins.y -= 1.0f; }},
+      {"mins.z", [](sim::Entity& e) { e.mins.z -= 1.0f; }},
+      {"maxs.x", [](sim::Entity& e) { e.maxs.x += 1.0f; }},
+      {"maxs.y", [](sim::Entity& e) { e.maxs.y += 1.0f; }},
+      {"maxs.z", [](sim::Entity& e) { e.maxs.z += 1.0f; }},
+      {"solid", [](sim::Entity& e) { e.solid = !e.solid; }},
+      {"on_ground", [](sim::Entity& e) { e.on_ground = !e.on_ground; }},
+      {"health", [](sim::Entity& e) { e.health -= 1; }},
+      {"armor", [](sim::Entity& e) { e.armor += 1; }},
+      {"frags", [](sim::Entity& e) { e.frags += 1; }},
+      {"grenades", [](sim::Entity& e) { e.grenades -= 1; }},
+      {"weapon", [](sim::Entity& e) { e.weapon = sim::Weapon::kRailgun; }},
+      {"next_attack", [](sim::Entity& e) { e.next_attack.ns += 1; }},
+      {"deaths", [](sim::Entity& e) { e.deaths += 1; }},
+      {"item",
+       [](sim::Entity& e) { e.item = spatial::ItemType::kMegaHealth; }},
+      {"available", [](sim::Entity& e) { e.available = !e.available; }},
+      {"respawn_at", [](sim::Entity& e) { e.respawn_at.ns += 1; }},
+      {"owner", [](sim::Entity& e) { e.owner += 1; }},
+      {"dir.x", [](sim::Entity& e) { e.dir.x += 1.0f; }},
+      {"dir.y", [](sim::Entity& e) { e.dir.y += 1.0f; }},
+      {"dir.z", [](sim::Entity& e) { e.dir.z += 1.0f; }},
+      {"expire_at", [](sim::Entity& e) { e.expire_at.ns += 1; }},
+      {"teleport_dest.x", [](sim::Entity& e) { e.teleport_dest.x += 1.0f; }},
+      {"teleport_dest.y", [](sim::Entity& e) { e.teleport_dest.y += 1.0f; }},
+      {"teleport_dest.z", [](sim::Entity& e) { e.teleport_dest.z += 1.0f; }},
+      {"name append", [](sim::Entity& e) { e.name.push_back('a'); }},
+      {"name append NUL", [](sim::Entity& e) { e.name.push_back('\0'); }},
+  };
+
+  const std::vector<size_t> name_lengths = {0, 7, 8, 9, 16};
+  for (const size_t len : name_lengths) {
+    p.name = std::string(len, 'n');
+    std::vector<Mutation> all = mutations;
+    for (size_t at = 0; at < len; ++at) {
+      all.emplace_back("name[" + std::to_string(at) + "]",
+                       [at](sim::Entity& e) { e.name[at] ^= 0x01; });
+    }
+    if (len > 0)
+      all.emplace_back("name pop", [](sim::Entity& e) { e.name.pop_back(); });
+
+    std::vector<recovery::EntityDigest> base_per;
+    const uint64_t base = recovery::world_digest(w, &base_per);
+    ASSERT_EQ(base, recovery::world_digest(w, nullptr));
+    ASSERT_EQ(base_per.size(), w.active_entities());
+    size_t index = 0;  // p's position in the id-ordered digest list
+    while (index < base_per.size() && base_per[index].id != p.id) ++index;
+    ASSERT_LT(index, base_per.size());
+
+    for (const auto& [what, mutate] : all) {
+      const sim::Entity saved = p;
+      mutate(p);
+      std::vector<recovery::EntityDigest> per;
+      const uint64_t d = recovery::world_digest(w, &per);
+      EXPECT_EQ(d, recovery::world_digest(w, nullptr)) << what;
+      EXPECT_NE(d, base) << what << " (name length " << len << ")";
+      ASSERT_EQ(per.size(), base_per.size());
+      for (size_t i = 0; i < per.size(); ++i) {
+        if (i == index) {
+          EXPECT_NE(per[i].hash, base_per[i].hash)
+              << what << " (name length " << len << ")";
+        } else {
+          EXPECT_EQ(per[i].hash, base_per[i].hash) << what;
+        }
+      }
+      p = saved;
+    }
+    EXPECT_EQ(recovery::world_digest(w), base);
+  }
+}
+
+// The free-id stack's order decides future id assignment, so two worlds
+// with the same entities and the same free ids in a different order must
+// digest differently.
+TEST(Digest, SensitiveToFreeIdOrder) {
+  const auto map = spatial::make_arena(1024);
+  sim::World a(map, {});
+  sim::World b(map, {});
+  const uint32_t a1 = a.spawn_player("x").id;
+  const uint32_t a2 = a.spawn_player("y").id;
+  const uint32_t b1 = b.spawn_player("x").id;
+  const uint32_t b2 = b.spawn_player("y").id;
+  ASSERT_EQ(a1, b1);
+  ASSERT_EQ(a2, b2);
+  a.remove_entity(a1);
+  a.remove_entity(a2);
+  b.remove_entity(b2);
+  b.remove_entity(b1);
+  ASSERT_EQ(a.active_entities(), b.active_entities());
+  ASSERT_NE(a.free_ids(), b.free_ids());
+  EXPECT_NE(recovery::world_digest(a), recovery::world_digest(b));
+}
+
 // --- fixtures: short recorded runs ---------------------------------------
 
 struct RecordedRun {
@@ -197,6 +313,52 @@ TEST(LoaderHardening, EveryFlippedByteIsRejectedByTheContentChecksum) {
               recovery::LoadError::kChecksum)
         << "flip at byte " << at;
   }
+}
+
+// The checksum hashes whole little-endian words with the tail
+// zero-padded: a body whose length is not a multiple of 8 must still have
+// every bit of every byte — tail bytes included — covered.
+TEST(LoaderHardening, EveryBitFlipInAnUnalignedImageFailsTheChecksum) {
+  recovery::CheckpointData c;
+  c.frame = 7;
+  c.max_clients = 4;
+  c.entity_storage = 4;
+  c.free_ids = {3, 2};
+  c.map_text = "m";
+  std::vector<uint8_t> image = recovery::encode_checkpoint(c);
+  while ((image.size() - 8) % 8 == 0) {
+    c.map_text.push_back('m');
+    image = recovery::encode_checkpoint(c);
+  }
+  recovery::CheckpointData out;
+  ASSERT_EQ(recovery::decode_checkpoint(image, out),
+            recovery::LoadError::kNone);
+  for (size_t at = 8; at < image.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> buf = image;
+      buf[at] ^= static_cast<uint8_t>(1u << bit);
+      EXPECT_EQ(recovery::decode_checkpoint(buf, out),
+                recovery::LoadError::kChecksum)
+          << "flip of bit " << bit << " at byte " << at << " of "
+          << image.size();
+    }
+  }
+}
+
+// Files written before the current formats (qserv-ckpt-v1 with its FNV
+// checksum, qserv-jrnl-v2 with FNV digests) must be refused as a version
+// mismatch, not misreported as a torn image or a diverged replay.
+TEST(LoaderHardening, PreviousFormatVersionsAreRefusedAsBadVersion) {
+  auto ckpt = sample_run().checkpoint;
+  recovery::CheckpointData c;
+  ckpt[4] = 1;  // version u32, little-endian
+  EXPECT_EQ(recovery::decode_checkpoint(ckpt, c),
+            recovery::LoadError::kBadVersion);
+  auto jrnl = sample_run().journal;
+  recovery::JournalFile jf;
+  jrnl[4] = 2;
+  EXPECT_EQ(recovery::decode_journal(jrnl, jf),
+            recovery::LoadError::kBadVersion);
 }
 
 TEST(LoaderHardening, MagicAndVersionAreChecked) {

@@ -1,14 +1,19 @@
 // Reply hot-path allocation discipline (DESIGN.md §15): sealed event
 // blocks make the per-frame reply-buffer fan-out a refcount bump instead
 // of N event copies, and the arena/scratch reuse keeps the steady-state
-// reply phase allocation-free. This binary includes the bench allocation
-// counter (global operator new override) so the assertions count real
-// heap traffic.
+// reply phase allocation-free. The recovery seal that runs in the same
+// master window (DESIGN.md §9) is held to the same discipline. This binary
+// includes the bench allocation counter (global operator new override) so
+// the assertions count real heap traffic.
 #include <gtest/gtest.h>
 
 #include "bench/alloc_counter.hpp"
 #include "src/core/global_state.hpp"
 #include "src/harness/experiment.hpp"
+#include "src/recovery/checkpoint.hpp"
+#include "src/recovery/digest.hpp"
+#include "src/recovery/journal.hpp"
+#include "src/spatial/map_gen.hpp"
 
 namespace qserv::core {
 namespace {
@@ -75,6 +80,51 @@ TEST(ReplyAlloc, SealFrameSteadyStateAllocFree) {
         << "sealing/fan-out must reuse pooled blocks and capacities";
   });
   p.run();
+}
+
+// The recovery seal in steady state: once the journal ring is full and
+// both checkpoint buffers have held an image, the digest list and the
+// journal records reuse the evicted frame's storage and store() encodes
+// into the unpublished buffer's capacity. Only the ring's deque nodes are
+// still allocated, one per several frames.
+TEST(RecoveryAlloc, SteadyStateSealReusesStorage) {
+  const auto map = spatial::make_arena(1024);
+  sim::World w(map, {});
+  for (int i = 0; i < 16; ++i) w.spawn_player("player" + std::to_string(i));
+  recovery::Config rc;
+  rc.journal_frames = 8;
+  recovery::FlightRecorder recorder(rc, 2, 1);
+  recovery::CheckpointManager checkpoints;
+  recovery::CheckpointData image;
+  image.entity_storage = static_cast<uint32_t>(w.entity_storage_size());
+  w.for_each_entity(
+      [&](const sim::Entity& e) { image.entities.push_back(e); });
+
+  uint64_t order = 0;
+  const auto seal = [&](uint64_t frame) {
+    for (uint32_t t = 0; t < 2; ++t) {
+      recovery::JournalRecord exec;
+      exec.kind = recovery::RecordKind::kMoveExec;
+      exec.order = order++;
+      recorder.record(t, exec);
+    }
+    recorder.record(1, recovery::JournalRecord{});  // a forensic drop
+    std::vector<recovery::EntityDigest> per = recorder.take_digest_buffer();
+    const uint64_t digest = recovery::world_digest(w, &per);
+    recorder.seal_frame(frame, vt::TimePoint::zero(), vt::Duration{}, digest,
+                        std::move(per));
+    if (frame % 4 == 0) checkpoints.store(image);
+  };
+  uint64_t frame = 1;
+  for (; frame <= 32; ++frame) seal(frame);
+  constexpr uint64_t kHot = 64;
+  const uint64_t before = bench::heap_allocs();
+  for (const uint64_t end = frame + kHot; frame < end; ++frame) seal(frame);
+  EXPECT_LE(bench::heap_allocs() - before, kHot / 4)
+      << "the seal must reuse evicted journal frames and checkpoint buffers";
+  EXPECT_EQ(recorder.frames().size(), rc.journal_frames);
+  EXPECT_EQ(recorder.frames().back().entity_digests.size(),
+            w.active_entities());
 }
 
 // End to end: with the shared-baseline reply path on, the server does not

@@ -3,7 +3,7 @@
 // Feed it the two artifacts a black-box dump (or a live server's
 // recovery ring) produces — a checkpoint image and a journal — and it
 // restores the world, re-executes every recorded frame, and cross-checks
-// the FNV world digest after each one against the digest recorded live.
+// the world digest after each one against the digest recorded live.
 // On divergence it names the first offending frame and, when the journal
 // carries per-entity digests, the first offending entity.
 //

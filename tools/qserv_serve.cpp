@@ -14,7 +14,7 @@
 //   3. stop the frame loop, wait for workers to quiesce, take the final
 //      frame-aligned checkpoint;
 //   4. pass the bound listener descriptors (SCM_RIGHTS) plus the
-//      qserv-ckpt-v1 blob over the handoff socket. Client datagrams keep
+//      qserv-ckpt-v2 blob over the handoff socket. Client datagrams keep
 //      landing in the kernel socket buffers during the gap — nothing is
 //      lost;
 //   5. the child adopts the descriptors, restores every session
